@@ -642,6 +642,7 @@ pub fn compile_flwor(
 ) -> Result<Translated> {
     let mut b = SqlBuilder::new();
     let mut vars: Vec<(String, NodeRef)> = Vec::new();
+    let mut fors: Vec<NodeRef> = Vec::new();
     let lookup = |vars: &[(String, NodeRef)], name: &str| -> Result<NodeRef> {
         vars.iter()
             .find(|(v, _)| v == name)
@@ -685,6 +686,9 @@ pub fn compile_flwor(
                 ctx
             }
         };
+        if matches!(clause, Clause::For { .. }) {
+            fors.push(ctx.clone());
+        }
         match clause {
             Clause::For { var, .. } | Clause::Let { var, .. } => {
                 vars.push((var.clone(), ctx));
@@ -715,6 +719,16 @@ pub fn compile_flwor(
         let v = compile_value_path(step, db, &mut b, base.as_ref(), path, JoinMode::Left)?;
         order_ordinals.push((select.len() + 1, *asc));
         select.push(v.value_expr()?);
+    }
+    if f.order_by.is_empty() {
+        // Without `order by`, tuples follow the document order of the
+        // for-variables' nodes, outermost variable first.
+        for ctx in &fors {
+            if let Some(o) = step.order_expr(ctx) {
+                order_ordinals.push((select.len() + 1, true));
+                select.push(o);
+            }
+        }
     }
 
     let mut sql = b.render(&select.join(", "), true);

@@ -18,6 +18,7 @@ pub mod interval;
 pub mod universal;
 
 use reldb::{Database, Value};
+pub use shredder::NodeKey;
 use xqir::ast::NodeTest;
 
 use crate::contract::AccessContract;
@@ -54,36 +55,6 @@ pub enum NodeMeta {
         /// Element name of the *tabled* anchor.
         anchor: String,
         /// Inline path from the anchor ("[]" = the anchor itself).
-        path: Vec<String>,
-    },
-}
-
-/// A decoded node identifier, consumed by the publisher.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeKey {
-    /// (doc, pre) — edge / binary / interval / universal.
-    Pre {
-        /// Document id.
-        doc: i64,
-        /// Pre-order node id.
-        pre: i64,
-    },
-    /// (doc, dewey key).
-    Dewey {
-        /// Document id.
-        doc: i64,
-        /// Dewey key.
-        key: String,
-    },
-    /// (doc, anchor element, surrogate id, inline path).
-    Inline {
-        /// Document id.
-        doc: i64,
-        /// Tabled anchor element name.
-        anchor: String,
-        /// Surrogate row id.
-        id: i64,
-        /// Inline path within the anchor's row.
         path: Vec<String>,
     },
 }

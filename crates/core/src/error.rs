@@ -57,7 +57,12 @@ impl From<DbError> for CoreError {
 
 impl From<ShredError> for CoreError {
     fn from(e: ShredError) -> CoreError {
-        CoreError::Shred(e)
+        match e {
+            // A database error (a deadline or cancel trip among them) keeps
+            // its type whichever layer it surfaced through.
+            ShredError::Db(e) => CoreError::Db(e),
+            e => CoreError::Shred(e),
+        }
     }
 }
 

@@ -35,9 +35,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use reldb::{CancelToken, Database, Deadline, ExecLimits, ExecProfile, Value};
+use shredder::reconstruct::rebuild;
 use shredder::{
     docstore, BinaryScheme, DeweyScheme, EdgeScheme, InlineScheme, IntervalScheme, MappingScheme,
-    ShredStats, StorageStats, UniversalScheme,
+    ShredStats, StorageStats, Subtree, UniversalScheme,
 };
 use xmlpar::Document;
 use xmlrel_obs::timed_lock::{TimedReadGuard, TimedRwLock, TimedWriteGuard, POISON_RECOVERIES};
@@ -52,7 +53,6 @@ use crate::compile::{
 use crate::contract::{check_contract, QueryTraits};
 use crate::error::{CoreError, Result};
 use crate::ledger::{fingerprint, Ledger, SlowCapture, SlowTrigger};
-use crate::publish;
 
 /// Which mapping scheme a store uses.
 #[derive(Debug, Clone)]
@@ -100,36 +100,11 @@ impl Scheme {
         }
     }
 
-    fn publish_key(&self, db: &Database, key: &NodeKey) -> Result<String> {
-        match (self, key) {
-            (Scheme::Edge(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_edge(db, s, *doc, *pre)
-            }
-            (Scheme::Binary(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_binary(db, s, *doc, *pre)
-            }
-            (Scheme::Universal(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_universal(db, s, *doc, *pre)
-            }
-            (Scheme::Interval(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_interval(db, s, *doc, *pre)
-            }
-            (Scheme::Dewey(s), NodeKey::Dewey { doc, key }) => {
-                publish::publish_dewey(db, s, *doc, key)
-            }
-            (
-                Scheme::Inline(s),
-                NodeKey::Inline {
-                    doc,
-                    anchor,
-                    id,
-                    path,
-                },
-            ) => publish::publish_inline(db, s, *doc, anchor, *id, path),
-            _ => Err(CoreError::Translate(
-                "node key does not match the scheme".into(),
-            )),
-        }
+    /// Publish the subtree rooted at `key` as XML text, reading its rows
+    /// under `limits`.
+    fn publish_key(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<String> {
+        let Subtree { root, recs } = self.ops().subtree(db, key, limits)?;
+        Ok(xmlpar::serialize::to_string(&rebuild(recs, root)?))
     }
 }
 
@@ -790,6 +765,7 @@ impl XmlStore {
         db: &Database,
         t: &Translated,
         rows: &[Vec<Value>],
+        limits: &ExecLimits,
     ) -> Result<Vec<String>> {
         let compiler = self.scheme.compiler();
         let mut items = Vec::with_capacity(rows.len());
@@ -805,13 +781,13 @@ impl XmlStore {
             OutKind::Nodes => {
                 for row in rows {
                     let key = compiler.decode_key(&row[..t.key_width])?;
-                    items.push(self.scheme.publish_key(db, &key)?);
+                    items.push(self.scheme.publish_key(db, &key, limits)?);
                 }
             }
             OutKind::Constructed(template) => {
                 for row in rows {
                     let mut s = String::new();
-                    self.render_template(db, template, row, compiler.as_ref(), &mut s)?;
+                    self.render_template(db, template, row, compiler.as_ref(), limits, &mut s)?;
                     items.push(s);
                 }
             }
@@ -942,6 +918,7 @@ impl XmlStore {
         template: &Template,
         row: &[Value],
         compiler: &dyn StepCompiler,
+        limits: &ExecLimits,
         out: &mut String,
     ) -> Result<()> {
         out.push('<');
@@ -966,9 +943,9 @@ impl XmlStore {
                 }
                 Slot::Node(start) => {
                     let key = compiler.decode_key(&row[*start..*start + compiler.key_width()])?;
-                    out.push_str(&self.scheme.publish_key(db, &key)?);
+                    out.push_str(&self.scheme.publish_key(db, &key, limits)?);
                 }
-                Slot::Nested(t) => self.render_template(db, t, row, compiler, out)?,
+                Slot::Nested(t) => self.render_template(db, t, row, compiler, limits, out)?,
             }
         }
         out.push_str("</");
@@ -1151,8 +1128,15 @@ impl<'a> QueryRequest<'a> {
         let publish_started = Instant::now();
         let items = {
             let _span = trace::span("publish", "core");
-            store.publish_rows(&db, &t, &rows)?
+            store.publish_rows(&db, &t, &rows, &limits)
         };
+        // Publish statements run under the request's limits; a trip there
+        // is a failed execution like a trip in the main statement.
+        let items = items.inspect_err(|e| {
+            store
+                .ledger
+                .observe_error_with_id(query, &e.to_string(), request_id.as_deref())
+        })?;
         phases.publish_us = elapsed_us(publish_started);
         Ok(QueryOutput {
             items,

@@ -5,7 +5,10 @@
 use std::time::{Duration, Instant};
 
 use reldb::{CancelToken, DbError, MemBackend, SharedFiles, SlowBackend};
-use shredder::IntervalScheme;
+use shredder::{
+    BinaryScheme, DeweyScheme, EdgeScheme, InlineScheme, IntervalScheme, UniversalScheme,
+};
+use xmlgen::{DblpConfig, DBLP_DTD};
 use xmlrel_core::{CoreError, Scheme, XmlStore};
 
 /// A store with enough rows that a query has real work to do.
@@ -114,4 +117,92 @@ fn tighter_of_store_and_request_deadlines_wins() {
     s.with_db_mut(|db| db.limits.deadline = Some(reldb::Deadline::after_millis(60_000)));
     let err = s.request("//a/text()").timeout_ms(0).run().unwrap_err();
     assert!(is_deadline(&err), "expected DeadlineExceeded, got {err:?}");
+}
+
+/// The default DBLP corpus under every scheme whose `//author` publish
+/// (1,062 fragments) takes seconds. Interval publishes it in tens of
+/// milliseconds, inside any budget these tests could set.
+fn dblp_stores() -> Vec<XmlStore> {
+    let doc = xmlgen::dblp::generate(&DblpConfig::default());
+    [
+        Scheme::Edge(EdgeScheme::new()),
+        Scheme::Binary(BinaryScheme::new()),
+        Scheme::Universal(UniversalScheme::new()),
+        Scheme::Dewey(DeweyScheme::new()),
+        Scheme::Inline(InlineScheme::from_dtd_text(DBLP_DTD).unwrap()),
+    ]
+    .into_iter()
+    .map(|scheme| {
+        let mut s = XmlStore::builder(scheme).open().unwrap();
+        s.load_document("dblp", &doc).unwrap();
+        s
+    })
+    .collect()
+}
+
+/// `//author`'s ledger row: (completed main statements, failures, last
+/// diagnostic).
+fn author_ledger(s: &XmlStore) -> (u64, u64, String) {
+    s.ledger()
+        .stats()
+        .into_iter()
+        .find(|f| f.exemplar == "//author")
+        .map(|f| (f.count, f.errors, f.last_error.unwrap_or_default()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn publish_honours_request_budgets() {
+    // One test, so the five stores' requests never overlap another heavy
+    // test: the main statement must finish well inside each budget.
+    for s in dblp_stores() {
+        let name = s.scheme().name();
+
+        let started = Instant::now();
+        let result = s.request("//author").timeout_ms(100).run();
+        let elapsed = started.elapsed();
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{name}: Ok after {elapsed:?}"));
+        assert!(
+            is_deadline(&err),
+            "{name}: expected DeadlineExceeded, got {err:?}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{name}: a 100 ms budget took {elapsed:?} to trip"
+        );
+        // The main statement completed; the trip came while publishing,
+        // and the ledger has it.
+        let (count, errors, diag) = author_ledger(&s);
+        assert_eq!((count, errors), (1, 1), "{name}: {diag}");
+        assert!(diag.contains("deadline exceeded"), "{name}: {diag:?}");
+
+        // A cancel fired from another thread 50 ms after the main
+        // statement completed ends the request mid-publish.
+        let token = CancelToken::new();
+        let result = std::thread::scope(|scope| {
+            let canceller = token.clone();
+            let s = &s;
+            scope.spawn(move || {
+                let waited = Instant::now();
+                while author_ledger(s).0 < 2 && waited.elapsed() < Duration::from_secs(30) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                canceller.cancel();
+            });
+            s.request("//author").cancel(&token).run()
+        });
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{name}: Ok despite the cancel"));
+        assert!(
+            matches!(err, CoreError::Db(DbError::Cancelled(_))),
+            "{name}: expected Cancelled, got {err:?}"
+        );
+        let (count, errors, diag) = author_ledger(&s);
+        assert_eq!((count, errors), (2, 2), "{name}: {diag}");
+        assert!(diag.contains("cancelled"), "{name}: {diag:?}");
+    }
 }

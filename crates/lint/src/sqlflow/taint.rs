@@ -135,7 +135,12 @@ pub fn in_scope(file: &str) -> bool {
     f.contains("crates/core/src/compile/")
         || f.ends_with("crates/core/src/update.rs")
         || f.ends_with("crates/core/src/store.rs")
-        || f.ends_with("crates/core/src/publish.rs")
+        || f.ends_with("crates/shredder/src/edge.rs")
+        || f.ends_with("crates/shredder/src/binary.rs")
+        || f.ends_with("crates/shredder/src/universal.rs")
+        || f.ends_with("crates/shredder/src/interval.rs")
+        || f.ends_with("crates/shredder/src/dewey.rs")
+        || f.ends_with("crates/shredder/src/inline.rs")
         || f.ends_with("crates/shredder/src/labels.rs")
         || f.ends_with("crates/shredder/src/docstore.rs")
         || f.ends_with("crates/shredder/src/pathsummary.rs")

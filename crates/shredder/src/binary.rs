@@ -9,14 +9,15 @@
 //! the edge scheme's, at the cost of many tables and of `UNION ALL` for
 //! wildcard steps.
 
-use reldb::{row_int, row_text, Database, ExecResult, Value};
+use reldb::sql::quote::sql_ident;
+use reldb::{row_int, row_text, Database, ExecLimits, ExecResult, Value};
 use xmlpar::Document;
 
-use crate::error::Result;
+use crate::error::{Result, ShredError};
 use crate::labels::LabelRegistry;
 use crate::pathsummary::PathSummary;
-use crate::reconstruct::rebuild;
-use crate::scheme::{tally, MappingScheme, ShredStats};
+use crate::reconstruct::Subtree;
+use crate::scheme::{tally, MappingScheme, NodeKey, ShredStats};
 use crate::walk::{flatten, NodeRec, RecKind};
 
 /// The binary scheme.
@@ -74,7 +75,7 @@ impl BinaryScheme {
     }
 
     fn ensure_table(&self, db: &mut Database, label: &str, kind: &str) -> Result<String> {
-        let tbl = self.registry.assign(db, label, kind)?;
+        let tbl = sql_ident(&self.registry.assign(db, label, kind)?);
         if !db.catalog.has_table(&tbl) {
             let value_col = if kind == "attr" { ", value TEXT" } else { "" };
             db.execute(&format!(
@@ -165,49 +166,81 @@ impl MappingScheme for BinaryScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
-        let mut recs = Vec::new();
-        for (label, kind, tbl) in self.registry.all(db)? {
-            let value_sel = if kind == "attr" { ", value" } else { "" };
-            let rec_kind = if kind == "attr" {
-                RecKind::Attr
-            } else {
-                RecKind::Elem
-            };
-            db.query_streaming(
-                &format!("SELECT pre, source, ordinal{value_sel} FROM {tbl} WHERE doc = {doc_id}"),
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        let tables = self.registry.all(db)?;
+        let (doc, root) = match *key {
+            NodeKey::Root { doc } => (doc, None),
+            NodeKey::Pre { doc, pre } => (doc, Some(pre)),
+            _ => return Err(key.mismatch(self.name())),
+        };
+        let mut recs: Vec<NodeRec> = Vec::new();
+        // Read every label table and the text table under one extra
+        // condition; returns the element nodes read.
+        let read = |cond: &str, recs: &mut Vec<NodeRec>| -> Result<Vec<i64>> {
+            let mut elems = Vec::new();
+            for (label, kind, tbl) in &tables {
+                let attr = kind == "attr";
+                let value_sel = if attr { ", value" } else { "" };
+                db.query_streaming_limited(
+                    &format!(
+                        "SELECT pre, source, ordinal{value_sel} FROM {} WHERE doc = {doc}{cond}",
+                        sql_ident(tbl)
+                    ),
+                    limits,
+                    |row| {
+                        let kind = if attr { RecKind::Attr } else { RecKind::Elem };
+                        let rec = bin_rec(&row, kind, Some(label.clone()));
+                        if !attr {
+                            elems.push(rec.pre);
+                        }
+                        recs.push(rec);
+                        Ok(())
+                    },
+                )?;
+            }
+            db.query_streaming_limited(
+                &format!(
+                    "SELECT pre, source, ordinal, value FROM bin_text WHERE doc = {doc}{cond}"
+                ),
+                limits,
                 |row| {
-                    recs.push(NodeRec {
-                        pre: row_int(&row, 0).unwrap_or(0),
-                        parent: row_int(&row, 1),
-                        ordinal: row_int(&row, 2).unwrap_or(0),
-                        size: 0,
-                        level: 0,
-                        kind: rec_kind,
-                        name: Some(label.clone()),
-                        value: row.get(3).and_then(|v| v.as_text()).map(str::to_string),
-                    });
+                    recs.push(bin_rec(&row, RecKind::Text, None));
                     Ok(())
                 },
             )?;
+            Ok(elems)
+        };
+        let Some(pre) = root else {
+            read("", &mut recs)?;
+            return Ok(Subtree { root: 0, recs });
+        };
+        // The node's own row (its label is unknown: try each element
+        // table), then level-order expansion.
+        for (label, kind, tbl) in &tables {
+            if kind != "elem" {
+                continue;
+            }
+            let q = db.query_readonly_limited(
+                &format!(
+                    "SELECT pre, source, ordinal FROM {} WHERE doc = {doc} AND pre = {pre}",
+                    sql_ident(tbl)
+                ),
+                limits,
+            )?;
+            if let Some(row) = q.rows.first() {
+                recs.push(bin_rec(row, RecKind::Elem, Some(label.clone())));
+                break;
+            }
         }
-        db.query_streaming(
-            &format!("SELECT pre, source, ordinal, value FROM bin_text WHERE doc = {doc_id}"),
-            |row| {
-                recs.push(NodeRec {
-                    pre: row_int(&row, 0).unwrap_or(0),
-                    parent: row_int(&row, 1),
-                    ordinal: row_int(&row, 2).unwrap_or(0),
-                    size: 0,
-                    level: 0,
-                    kind: RecKind::Text,
-                    name: None,
-                    value: row_text(&row, 3).map(str::to_string),
-                });
-                Ok(())
-            },
-        )?;
-        rebuild(recs)
+        if recs.is_empty() {
+            return Err(ShredError::Corrupt(format!("no binary node ({doc},{pre})")));
+        }
+        let mut frontier = vec![pre];
+        while !frontier.is_empty() {
+            let list: Vec<String> = frontier.iter().map(i64::to_string).collect();
+            frontier = read(&format!(" AND source IN ({})", list.join(", ")), &mut recs)?;
+        }
+        Ok(Subtree { root: pre, recs })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {
@@ -240,6 +273,21 @@ impl MappingScheme for BinaryScheme {
         out.push(self.registry.registry_table());
         out.push(self.path_summary().table());
         out
+    }
+}
+
+/// A node record from a label or text table row (pre, source, ordinal
+/// and, for attributes and text, value).
+fn bin_rec(row: &[Value], kind: RecKind, name: Option<String>) -> NodeRec {
+    NodeRec {
+        pre: row_int(row, 0).unwrap_or(0),
+        parent: row_int(row, 1),
+        ordinal: row_int(row, 2).unwrap_or(0),
+        size: 0,
+        level: 0,
+        kind,
+        name,
+        value: row_text(row, 3).map(str::to_string),
     }
 }
 

@@ -16,12 +16,13 @@
 
 use std::collections::HashMap;
 
-use reldb::{row_int, row_text, Database, Value};
+use reldb::sql::quote::sql_lit;
+use reldb::{row_int, row_text, Database, ExecLimits, Value};
 use xmlpar::Document;
 
-use crate::error::Result;
-use crate::reconstruct::rebuild;
-use crate::scheme::{tally, MappingScheme, ShredStats};
+use crate::error::{Result, ShredError};
+use crate::reconstruct::Subtree;
+use crate::scheme::{tally, MappingScheme, NodeKey, ShredStats};
 use crate::walk::{flatten, NodeRec, RecKind};
 
 /// Width of one hex component (6 → 16M siblings max).
@@ -120,37 +121,52 @@ impl MappingScheme for DeweyScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
-        // (dewey, parent, ordinal, level, kind, name, value)
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        let (doc, filter) = match key {
+            NodeKey::Root { doc } => (*doc, String::new()),
+            NodeKey::Dewey { doc, key } => (
+                *doc,
+                format!(
+                    " AND (dewey = {} OR dewey LIKE {})",
+                    sql_lit(key),
+                    sql_lit(&descendant_pattern(key))
+                ),
+            ),
+            _ => return Err(key.mismatch(self.name())),
+        };
+        // (dewey, parent, ordinal, kind, name, value)
         type RawRow = (
             String,
             Option<String>,
-            i64,
             i64,
             String,
             Option<String>,
             Option<String>,
         );
-        // Assign synthetic pre ids by lexicographic key rank.
+        // Synthetic pre ids are key ranks, so the subtree's root (the
+        // smallest key) is record 0.
         let mut raw: Vec<RawRow> = Vec::new();
-        db.query_streaming(
+        db.query_streaming_limited(
             &format!(
-                "SELECT dewey, parent, ordinal, level, kind, name, value \
-                 FROM dnode WHERE doc = {doc_id} ORDER BY dewey"
+                "SELECT dewey, parent, ordinal, kind, name, value \
+                 FROM dnode WHERE doc = {doc}{filter} ORDER BY dewey"
             ),
+            limits,
             |row| {
                 raw.push((
                     row_text(&row, 0).unwrap_or("").to_string(),
                     row_text(&row, 1).map(str::to_string),
                     row_int(&row, 2).unwrap_or(0),
-                    row_int(&row, 3).unwrap_or(0),
-                    row_text(&row, 4).unwrap_or("").to_string(),
+                    row_text(&row, 3).unwrap_or("").to_string(),
+                    row_text(&row, 4).map(str::to_string),
                     row_text(&row, 5).map(str::to_string),
-                    row_text(&row, 6).map(str::to_string),
                 ));
                 Ok(())
             },
         )?;
+        if raw.is_empty() {
+            return Err(ShredError::Corrupt(format!("no dnode for {key:?}")));
+        }
         let rank: HashMap<&str, i64> = raw
             .iter()
             .enumerate()
@@ -159,20 +175,18 @@ impl MappingScheme for DeweyScheme {
         let recs: Vec<NodeRec> = raw
             .iter()
             .enumerate()
-            .map(
-                |(i, (_, parent, ordinal, level, kind, name, value))| NodeRec {
-                    pre: i as i64,
-                    parent: parent.as_deref().and_then(|p| rank.get(p)).copied(),
-                    ordinal: *ordinal,
-                    size: 0,
-                    level: *level,
-                    kind: RecKind::from_tag(kind).unwrap_or(RecKind::Elem),
-                    name: name.clone(),
-                    value: value.clone(),
-                },
-            )
+            .map(|(i, (_, parent, ordinal, kind, name, value))| NodeRec {
+                pre: i as i64,
+                parent: parent.as_deref().and_then(|p| rank.get(p)).copied(),
+                ordinal: *ordinal,
+                size: 0,
+                level: 0,
+                kind: RecKind::from_tag(kind).unwrap_or(RecKind::Elem),
+                name: name.clone(),
+                value: value.clone(),
+            })
             .collect();
-        rebuild(recs)
+        Ok(Subtree { root: 0, recs })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {

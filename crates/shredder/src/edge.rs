@@ -17,13 +17,13 @@
 //! `edge` occurrence per step — the join-chain cost that motivates every
 //! other scheme in the comparison.
 
-use reldb::{row_int, row_text, Database, Value};
+use reldb::{row_int, row_text, Database, ExecLimits, Value};
 use xmlpar::Document;
 
-use crate::error::Result;
+use crate::error::{Result, ShredError};
 use crate::pathsummary::PathSummary;
-use crate::reconstruct::rebuild;
-use crate::scheme::{tally, MappingScheme, ShredStats};
+use crate::reconstruct::Subtree;
+use crate::scheme::{tally, MappingScheme, NodeKey, ShredStats};
 use crate::walk::{flatten, NodeRec, RecKind};
 
 /// The edge scheme. `with_value_index` adds a secondary index on `value`
@@ -100,28 +100,62 @@ impl MappingScheme for EdgeScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        const SELECT: &str = "SELECT target, source, ordinal, kind, label, value FROM edge";
         let mut recs = Vec::new();
-        db.query_streaming(
-            &format!(
-                "SELECT source, ordinal, label, kind, target, value FROM edge WHERE doc = {doc_id}"
-            ),
-            |row| {
-                recs.push(NodeRec {
-                    pre: row_int(&row, 4).unwrap_or(0),
-                    parent: row_int(&row, 0),
-                    ordinal: row_int(&row, 1).unwrap_or(0),
-                    size: 0,
-                    level: 0,
-                    kind: RecKind::from_tag(row_text(&row, 3).unwrap_or(""))
-                        .unwrap_or(RecKind::Elem),
-                    name: row_text(&row, 2).map(str::to_string),
-                    value: row_text(&row, 5).map(str::to_string),
-                });
-                Ok(())
-            },
-        )?;
-        rebuild(recs)
+        let root = match *key {
+            NodeKey::Root { doc } => {
+                db.query_streaming_limited(
+                    &format!("{SELECT} WHERE doc = {doc}"),
+                    limits,
+                    |row| {
+                        recs.push(edge_rec(&row));
+                        Ok(())
+                    },
+                )?;
+                0
+            }
+            NodeKey::Pre { doc, pre } => {
+                // The node's own edge row, then level-order expansion.
+                db.query_streaming_limited(
+                    &format!("{SELECT} WHERE doc = {doc} AND target = {pre}"),
+                    limits,
+                    |row| {
+                        recs.push(edge_rec(&row));
+                        Ok(())
+                    },
+                )?;
+                if recs.is_empty() {
+                    return Err(ShredError::Corrupt(format!("no edge node ({doc},{pre})")));
+                }
+                let mut frontier = vec![pre];
+                while !frontier.is_empty() {
+                    let mut next = Vec::new();
+                    for chunk in frontier.chunks(200) {
+                        let list: Vec<String> = chunk.iter().map(i64::to_string).collect();
+                        db.query_streaming_limited(
+                            &format!(
+                                "{SELECT} WHERE doc = {doc} AND source IN ({})",
+                                list.join(", ")
+                            ),
+                            limits,
+                            |row| {
+                                let rec = edge_rec(&row);
+                                if rec.kind == RecKind::Elem {
+                                    next.push(rec.pre);
+                                }
+                                recs.push(rec);
+                                Ok(())
+                            },
+                        )?;
+                    }
+                    frontier = next;
+                }
+                pre
+            }
+            _ => return Err(key.mismatch(self.name())),
+        };
+        Ok(Subtree { root, recs })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {
@@ -135,6 +169,21 @@ impl MappingScheme for EdgeScheme {
 
     fn tables(&self, _db: &Database) -> Vec<String> {
         vec!["edge".to_string(), self.path_summary().table()]
+    }
+}
+
+/// A node record from an edge row (target, source, ordinal, kind, label,
+/// value).
+fn edge_rec(row: &[Value]) -> NodeRec {
+    NodeRec {
+        pre: row_int(row, 0).unwrap_or(0),
+        parent: row_int(row, 1),
+        ordinal: row_int(row, 2).unwrap_or(0),
+        size: 0,
+        level: 0,
+        kind: RecKind::from_tag(row_text(row, 3).unwrap_or("")).unwrap_or(RecKind::Elem),
+        name: row_text(row, 4).map(str::to_string),
+        value: row_text(row, 5).map(str::to_string),
     }
 }
 

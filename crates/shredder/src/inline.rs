@@ -31,13 +31,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use reldb::{row_int, row_text, Database, ExecResult, Value};
+use reldb::sql::quote::sql_ident;
+use reldb::{row_int, row_text, Database, ExecLimits, ExecResult, Value};
 use xmlpar::dtd::{Card, Dtd, NormalizedModel};
 use xmlpar::{Document, NodeId, NodeKind, QName};
 
 use crate::error::{Result, ShredError};
 use crate::labels::sanitize;
-use crate::scheme::{MappingScheme, ShredStats};
+use crate::reconstruct::Subtree;
+use crate::scheme::{MappingScheme, NodeKey, ShredStats};
+use crate::walk::{NodeRec, RecKind};
 
 /// Kind of a value column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -412,23 +415,6 @@ impl InlineScheme {
     }
 }
 
-impl InlineScheme {
-    /// Reconstruct a single node (a tabled row, or an inlined element at
-    /// `path` within one) as its own document fragment. Used by the
-    /// query-result publisher.
-    pub fn reconstruct_node(
-        &self,
-        db: &Database,
-        doc_id: i64,
-        anchor: &str,
-        id: i64,
-        path: &[String],
-    ) -> Result<Document> {
-        let mut loader = InlineLoader::load(&self.mapping, db, doc_id)?;
-        loader.build_node(anchor, id, path)
-    }
-}
-
 impl MappingScheme for InlineScheme {
     fn name(&self) -> &'static str {
         "inline"
@@ -436,21 +422,20 @@ impl MappingScheme for InlineScheme {
 
     fn install(&self, db: &mut Database) -> Result<()> {
         for def in self.mapping.tables.values() {
+            let table = sql_ident(&def.table);
             let mut ddl = format!(
-                "CREATE TABLE {} (doc INT NOT NULL, id INT NOT NULL, parent_id INT, \
-                 parent_tbl TEXT, parent_path TEXT, ord INT NOT NULL",
-                def.table
+                "CREATE TABLE {table} (doc INT NOT NULL, id INT NOT NULL, parent_id INT, \
+                 parent_tbl TEXT, parent_path TEXT, ord INT NOT NULL"
             );
             for c in &def.columns {
-                ddl.push_str(&format!(", {} TEXT", c.column));
+                ddl.push_str(&format!(", {} TEXT", sql_ident(&c.column)));
             }
             ddl.push(')');
             db.execute(&ddl)?;
             db.execute(&format!(
-                "CREATE INDEX {0}_parent ON {0} (parent_id, doc)",
-                def.table
+                "CREATE INDEX {table}_parent ON {table} (parent_id, doc)"
             ))?;
-            db.execute(&format!("CREATE INDEX {0}_id ON {0} (id, doc)", def.table))?;
+            db.execute(&format!("CREATE INDEX {table}_id ON {table} (id, doc)"))?;
         }
         db.execute(
             "CREATE TABLE inl_text (doc INT NOT NULL, tbl TEXT NOT NULL, \
@@ -493,17 +478,31 @@ impl MappingScheme for InlineScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
-        let mut loader = InlineLoader::load(&self.mapping, db, doc_id)?;
-        loader.build()
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        // Both reads load the whole document's rows.
+        let recs = match key {
+            NodeKey::Root { doc } => {
+                InlineLoader::load(&self.mapping, db, *doc, limits)?.build()?
+            }
+            NodeKey::Inline {
+                doc,
+                anchor,
+                id,
+                path,
+            } => InlineLoader::load(&self.mapping, db, *doc, limits)?
+                .build_node(anchor, *id, path)?,
+            _ => return Err(key.mismatch(self.name())),
+        };
+        Ok(Subtree { root: 0, recs })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {
         let mut n = 0;
         for def in self.mapping.tables.values() {
-            if let ExecResult::Affected(k) =
-                db.execute(&format!("DELETE FROM {} WHERE doc = {doc_id}", def.table))?
-            {
+            if let ExecResult::Affected(k) = db.execute(&format!(
+                "DELETE FROM {} WHERE doc = {doc_id}",
+                sql_ident(&def.table)
+            ))? {
                 n += k;
             }
         }
@@ -721,12 +720,27 @@ impl InlineShredder<'_> {
 
 // ---- reconstruction --------------------------------------------------------
 
-/// One loaded row: surrogate id, ord, and value columns by name.
+/// One loaded row: surrogate id, ord, and the value columns in the order
+/// of its table's `TableDef::columns`.
 #[derive(Clone)]
 struct LoadedRow {
     id: i64,
     ord: i64,
-    values: HashMap<String, Value>,
+    values: Vec<Value>,
+}
+
+impl LoadedRow {
+    /// Each value column of this row, a row of `def`'s table.
+    fn cols<'r>(&'r self, def: &'r TableDef) -> impl Iterator<Item = (&'r InlineCol, &'r Value)> {
+        def.columns.iter().zip(&self.values)
+    }
+
+    /// The text content stored for the element at `path`, if any.
+    fn pcdata<'r>(&'r self, def: &'r TableDef, path: &[String]) -> Option<&'r str> {
+        self.cols(def)
+            .find(|(c, _)| c.path == path && c.kind == ColKind::Pcdata)
+            .and_then(|(_, v)| v.as_text())
+    }
 }
 
 /// (table, parent_id, parent_path) → child rows.
@@ -740,35 +754,38 @@ struct InlineLoader<'a> {
     by_id: HashMap<(String, i64), LoadedRow>,
     /// (table, id) → text fragments (ord, value).
     texts: HashMap<(String, i64), Vec<(i64, String)>>,
-    doc: Option<Document>,
+    /// Records emitted so far, in document order; a record's `pre` is its
+    /// index, and doubles as its ordinal.
+    recs: Vec<NodeRec>,
 }
 
 impl<'a> InlineLoader<'a> {
-    fn load(mapping: &'a InlineMapping, db: &Database, doc_id: i64) -> Result<InlineLoader<'a>> {
+    fn load(
+        mapping: &'a InlineMapping,
+        db: &Database,
+        doc_id: i64,
+        limits: &ExecLimits,
+    ) -> Result<InlineLoader<'a>> {
         let mut children: ChildMap = HashMap::new();
         let mut by_id: HashMap<(String, i64), LoadedRow> = HashMap::new();
         for def in mapping.tables.values() {
-            let col_list: Vec<&str> = def.columns.iter().map(|c| c.column.as_str()).collect();
-            let select = if col_list.is_empty() {
-                String::new()
-            } else {
-                format!(", {}", col_list.join(", "))
-            };
-            db.query_streaming(
+            let select: String = def
+                .columns
+                .iter()
+                .map(|c| format!(", {}", sql_ident(&c.column)))
+                .collect();
+            db.query_streaming_limited(
                 &format!(
                     "SELECT id, parent_id, parent_tbl, parent_path, ord{select} \
                      FROM {} WHERE doc = {doc_id}",
-                    def.table
+                    sql_ident(&def.table)
                 ),
+                limits,
                 |row| {
-                    let mut values = HashMap::new();
-                    for (i, c) in col_list.iter().enumerate() {
-                        values.insert(c.to_string(), row[5 + i].clone());
-                    }
                     let loaded = LoadedRow {
                         id: row_int(&row, 0).unwrap_or(0),
                         ord: row_int(&row, 4).unwrap_or(0),
-                        values,
+                        values: row.get(5..).unwrap_or_default().to_vec(),
                     };
                     let key = (
                         row_text(&row, 2).unwrap_or("").to_string(),
@@ -788,8 +805,9 @@ impl<'a> InlineLoader<'a> {
             list.sort_by_key(|(_, r)| (r.ord, r.id));
         }
         let mut texts: HashMap<(String, i64), Vec<(i64, String)>> = HashMap::new();
-        db.query_streaming(
+        db.query_streaming_limited(
             &format!("SELECT tbl, parent_id, ord, value FROM inl_text WHERE doc = {doc_id}"),
+            limits,
             |row| {
                 texts
                     .entry((
@@ -812,54 +830,67 @@ impl<'a> InlineLoader<'a> {
             children,
             by_id,
             texts,
-            doc: None,
+            recs: Vec::new(),
         })
     }
 
-    /// Build a fragment rooted at one node.
-    fn build_node(&mut self, anchor: &str, id: i64, path: &[String]) -> Result<Document> {
+    /// Append one record; returns its `pre`.
+    fn emit(&mut self, parent: Option<i64>, kind: RecKind, name: &str, value: String) -> i64 {
+        let pre = self.recs.len() as i64;
+        self.recs.push(NodeRec {
+            pre,
+            parent,
+            ordinal: pre,
+            size: 0,
+            level: 0,
+            kind,
+            name: (kind != RecKind::Text).then(|| name.to_string()),
+            value: (kind != RecKind::Elem).then_some(value),
+        });
+        pre
+    }
+
+    /// Emit the attributes of the element at `path` inside `def`'s row.
+    fn emit_attrs(&mut self, node: i64, def: &TableDef, row: &LoadedRow, path: &[String]) {
+        for (col, v) in row.cols(def) {
+            if let (ColKind::Attr(a), Value::Text(v)) = (&col.kind, v) {
+                if col.path == path {
+                    self.emit(Some(node), RecKind::Attr, a, v.clone());
+                }
+            }
+        }
+    }
+
+    /// The records of the subtree rooted at one node (a tabled row, or an
+    /// inlined element at `path` within one).
+    fn build_node(mut self, anchor: &str, id: i64, path: &[String]) -> Result<Vec<NodeRec>> {
         let row = self
             .by_id
             .get(&(anchor.to_string(), id))
             .cloned()
             .ok_or_else(|| ShredError::Corrupt(format!("no row {id} in table for {anchor:?}")))?;
         let element = path.last().map(String::as_str).unwrap_or(anchor);
-        let doc = Document::new_with_root(parse_qname(element)?);
-        let root_id = doc.root();
-        self.doc = Some(doc);
+        let root = self.emit(None, RecKind::Elem, element, String::new());
         if path.is_empty() {
-            self.emit_tabled(root_id, anchor, &row)?;
+            self.emit_tabled(root, anchor, &row)?;
         } else {
             let def = self.mapping.tables[anchor].clone();
             // Attributes and text of the inlined element at `path`.
-            for col in &def.columns {
-                if col.path == path {
-                    if let ColKind::Attr(a) = &col.kind {
-                        if let Some(Value::Text(v)) = row.values.get(&col.column) {
-                            let v = v.clone();
-                            self.doc_mut()?.add_attribute(root_id, parse_qname(a)?, v);
-                        }
-                    }
-                }
-            }
-            if let Some(col) = def.find_col(path, &ColKind::Pcdata) {
-                if let Some(Value::Text(v)) = row.values.get(&col.column) {
-                    if !v.is_empty() {
-                        let v = v.clone();
-                        self.doc_mut()?.add_text(root_id, v);
-                    }
+            self.emit_attrs(root, &def, &row, path);
+            if let Some(v) = row.pcdata(&def, path) {
+                if !v.is_empty() {
+                    self.emit(Some(root), RecKind::Text, "", v.to_string());
                 }
             }
             let model = self.mapping.models[element].clone();
             let mut p = path.to_vec();
-            self.emit_children(root_id, element, &def, &row, &model, &mut p)?;
+            self.emit_children(root, &def, &row, &model, &mut p)?;
         }
-        self.doc
-            .take()
-            .ok_or_else(|| ShredError::Corrupt("reconstruction lost its document".into()))
+        Ok(self.recs)
     }
 
-    fn build(&mut self) -> Result<Document> {
+    /// The records of the whole document.
+    fn build(mut self) -> Result<Vec<NodeRec>> {
         // The root row: no parent.
         let roots = self
             .children
@@ -874,28 +905,14 @@ impl<'a> InlineLoader<'a> {
         let Some((element, row)) = roots.into_iter().next() else {
             return Err(ShredError::Corrupt("root row vanished".into()));
         };
-        let doc = Document::new_with_root(parse_qname(&element)?);
-        let root_id = doc.root();
-        self.doc = Some(doc);
-        self.emit_tabled(root_id, &element, &row)?;
-        self.doc
-            .take()
-            .ok_or_else(|| ShredError::Corrupt("reconstruction lost its document".into()))
+        let root = self.emit(None, RecKind::Elem, &element, String::new());
+        self.emit_tabled(root, &element, &row)?;
+        Ok(self.recs)
     }
 
-    fn emit_tabled(&mut self, node: NodeId, element: &str, row: &LoadedRow) -> Result<()> {
+    fn emit_tabled(&mut self, node: i64, element: &str, row: &LoadedRow) -> Result<()> {
         let def = self.mapping.tables[element].clone();
-        // Attributes.
-        for c in &def.columns {
-            if c.path.is_empty() {
-                if let ColKind::Attr(a) = &c.kind {
-                    if let Some(Value::Text(v)) = row.values.get(&c.column) {
-                        let v = v.clone();
-                        self.doc_mut()?.add_attribute(node, parse_qname(a)?, v);
-                    }
-                }
-            }
-        }
+        self.emit_attrs(node, &def, row, &[]);
         if def.mixed {
             // Interleave tabled children and text fragments by ord.
             let mut items: Vec<(i64, Item)> = Vec::new();
@@ -915,12 +932,10 @@ impl<'a> InlineLoader<'a> {
             for (_, item) in items {
                 match item {
                     Item::Text(v) => {
-                        self.doc_mut()?.add_text(node, v);
+                        self.emit(Some(node), RecKind::Text, "", v);
                     }
                     Item::Tabled(el, r) => {
-                        let child =
-                            self.doc_mut()?
-                                .add_element(node, parse_qname(&el)?, Vec::new());
+                        let child = self.emit(Some(node), RecKind::Elem, &el, String::new());
                         self.emit_tabled(child, &el, &r)?;
                     }
                 }
@@ -928,24 +943,20 @@ impl<'a> InlineLoader<'a> {
             return Ok(());
         }
         // Non-mixed: children in DTD model order; own text first if pcdata.
-        if let Some(col) = def.find_col(&[], &ColKind::Pcdata) {
-            if let Some(Value::Text(v)) = row.values.get(&col.column) {
-                if !v.is_empty() {
-                    let v = v.clone();
-                    self.doc_mut()?.add_text(node, v);
-                }
+        if let Some(v) = row.pcdata(&def, &[]) {
+            if !v.is_empty() {
+                self.emit(Some(node), RecKind::Text, "", v.to_string());
             }
         }
         let model = self.mapping.models[element].clone();
-        self.emit_children(node, element, &def, row, &model, &mut Vec::new())?;
+        self.emit_children(node, &def, row, &model, &mut Vec::new())?;
         Ok(())
     }
 
     /// Emit the children of the element at `path` inside `def`'s row.
     fn emit_children(
         &mut self,
-        node: NodeId,
-        _element: &str,
+        node: i64,
         def: &TableDef,
         row: &LoadedRow,
         model: &NormalizedModel,
@@ -962,68 +973,38 @@ impl<'a> InlineLoader<'a> {
                     .map(|v| v.iter().filter(|(el, _)| el == child).cloned().collect())
                     .unwrap_or_default();
                 for (el, r) in kids {
-                    let c = self
-                        .doc_mut()?
-                        .add_element(node, parse_qname(&el)?, Vec::new());
+                    let c = self.emit(Some(node), RecKind::Elem, &el, String::new());
                     self.emit_tabled(c, &el, &r)?;
                 }
                 continue;
             }
             path.push(child.clone());
             let present = match card {
-                Card::Opt => def
-                    .find_col(path, &ColKind::Present)
-                    .and_then(|c| row.values.get(&c.column))
-                    .map(|v| !v.is_null())
-                    .unwrap_or(false),
+                Card::Opt => row
+                    .cols(def)
+                    .any(|(c, v)| c.path == *path && c.kind == ColKind::Present && !v.is_null()),
                 _ => true,
             };
             if present {
-                let c = self
-                    .doc_mut()?
-                    .add_element(node, parse_qname(child)?, Vec::new());
-                // Attributes.
+                let c = self.emit(Some(node), RecKind::Elem, child, String::new());
                 let cm = self.mapping.models[child].clone();
-                for col in &def.columns {
-                    if col.path == *path {
-                        if let ColKind::Attr(a) = &col.kind {
-                            if let Some(Value::Text(v)) = row.values.get(&col.column) {
-                                let v = v.clone();
-                                self.doc_mut()?.add_attribute(c, parse_qname(a)?, v);
-                            }
-                        }
+                self.emit_attrs(c, def, row, path);
+                if let Some(v) = row.pcdata(def, path) {
+                    if !v.is_empty() {
+                        self.emit(Some(c), RecKind::Text, "", v.to_string());
                     }
                 }
-                // Text.
-                if let Some(col) = def.find_col(path, &ColKind::Pcdata) {
-                    if let Some(Value::Text(v)) = row.values.get(&col.column) {
-                        if !v.is_empty() {
-                            let v = v.clone();
-                            self.doc_mut()?.add_text(c, v);
-                        }
-                    }
-                }
-                self.emit_children(c, child, def, row, &cm, path)?;
+                self.emit_children(c, def, row, &cm, path)?;
             }
             path.pop();
         }
         Ok(())
-    }
-
-    fn doc_mut(&mut self) -> Result<&mut Document> {
-        self.doc
-            .as_mut()
-            .ok_or_else(|| ShredError::Corrupt("reconstruction lost its document".into()))
     }
 }
 
 enum Item {
     Text(String),
     Tabled(String, LoadedRow),
-}
-
-fn parse_qname(s: &str) -> Result<QName> {
-    QName::parse(s).ok_or_else(|| ShredError::Corrupt(format!("invalid name {s:?}")))
 }
 
 #[cfg(test)]

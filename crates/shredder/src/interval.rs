@@ -19,12 +19,12 @@
 //! `level` supports the child axis as `descendant AND level = a.level + 1`;
 //! `parent` is also materialized for direct child joins.
 
-use reldb::{row_int, row_text, Database, Value};
+use reldb::{row_int, row_text, Database, ExecLimits, Value};
 use xmlpar::Document;
 
-use crate::error::Result;
-use crate::reconstruct::rebuild;
-use crate::scheme::{tally, MappingScheme, ShredStats};
+use crate::error::{Result, ShredError};
+use crate::reconstruct::Subtree;
+use crate::scheme::{tally, MappingScheme, NodeKey, ShredStats};
 use crate::walk::{flatten, NodeRec, RecKind};
 
 /// The interval scheme.
@@ -97,29 +97,43 @@ impl MappingScheme for IntervalScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        const SELECT: &str = "SELECT pre, parent, ordinal, kind, name, value FROM inode";
+        let (sql, root) = match *key {
+            NodeKey::Root { doc } => (format!("{SELECT} WHERE doc = {doc}"), 0),
+            NodeKey::Pre { doc, pre } => {
+                // The node's size bounds its whole subtree's interval.
+                let size = db
+                    .query_readonly_limited(
+                        &format!("SELECT size FROM inode WHERE doc = {doc} AND pre = {pre}"),
+                        limits,
+                    )?
+                    .scalar()
+                    .and_then(Value::as_int)
+                    .ok_or_else(|| ShredError::Corrupt(format!("no inode ({doc},{pre})")))?;
+                let hi = pre + size;
+                (
+                    format!("{SELECT} WHERE doc = {doc} AND pre >= {pre} AND pre <= {hi}"),
+                    pre,
+                )
+            }
+            _ => return Err(key.mismatch(self.name())),
+        };
         let mut recs = Vec::new();
-        db.query_streaming(
-            &format!(
-                "SELECT pre, size, level, parent, ordinal, kind, name, value \
-                 FROM inode WHERE doc = {doc_id}"
-            ),
-            |row| {
-                recs.push(NodeRec {
-                    pre: row_int(&row, 0).unwrap_or(0),
-                    size: row_int(&row, 1).unwrap_or(0),
-                    level: row_int(&row, 2).unwrap_or(0),
-                    parent: row_int(&row, 3),
-                    ordinal: row_int(&row, 4).unwrap_or(0),
-                    kind: RecKind::from_tag(row_text(&row, 5).unwrap_or(""))
-                        .unwrap_or(RecKind::Elem),
-                    name: row_text(&row, 6).map(str::to_string),
-                    value: row_text(&row, 7).map(str::to_string),
-                });
-                Ok(())
-            },
-        )?;
-        rebuild(recs)
+        db.query_streaming_limited(&sql, limits, |row| {
+            recs.push(NodeRec {
+                pre: row_int(&row, 0).unwrap_or(0),
+                parent: row_int(&row, 1),
+                ordinal: row_int(&row, 2).unwrap_or(0),
+                size: 0,
+                level: 0,
+                kind: RecKind::from_tag(row_text(&row, 3).unwrap_or("")).unwrap_or(RecKind::Elem),
+                name: row_text(&row, 4).map(str::to_string),
+                value: row_text(&row, 5).map(str::to_string),
+            });
+            Ok(())
+        })?;
+        Ok(Subtree { root, recs })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {

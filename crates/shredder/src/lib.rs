@@ -53,5 +53,6 @@ pub use edge::EdgeScheme;
 pub use error::{Result, ShredError};
 pub use inline::InlineScheme;
 pub use interval::IntervalScheme;
-pub use scheme::{MappingScheme, ShredStats, StorageStats};
+pub use reconstruct::Subtree;
+pub use scheme::{MappingScheme, NodeKey, ShredStats, StorageStats};
 pub use universal::UniversalScheme;

@@ -1,9 +1,10 @@
 //! The mapping-scheme abstraction.
 
-use reldb::Database;
+use reldb::{Database, ExecLimits};
 use xmlpar::Document;
 
-use crate::error::Result;
+use crate::error::{Result, ShredError};
+use crate::reconstruct::{rebuild, Subtree};
 
 /// Statistics returned by a shred operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,6 +39,48 @@ impl StorageStats {
     }
 }
 
+/// Names one stored node: the root of a subtree to read back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NodeKey {
+    /// A whole document, read with one scan per table.
+    Root {
+        /// Document id.
+        doc: i64,
+    },
+    /// (doc, pre) — edge / binary / interval / universal.
+    Pre {
+        /// Document id.
+        doc: i64,
+        /// Pre-order node id.
+        pre: i64,
+    },
+    /// (doc, dewey key).
+    Dewey {
+        /// Document id.
+        doc: i64,
+        /// Dewey key.
+        key: String,
+    },
+    /// (doc, anchor element, surrogate id, inline path).
+    Inline {
+        /// Document id.
+        doc: i64,
+        /// Tabled anchor element name.
+        anchor: String,
+        /// Surrogate row id.
+        id: i64,
+        /// Inline path within the anchor's row.
+        path: Vec<String>,
+    },
+}
+
+impl NodeKey {
+    /// The error for a key of another scheme's shape.
+    pub(crate) fn mismatch(&self, scheme: &str) -> ShredError {
+        ShredError::Unsupported(format!("{scheme} scheme cannot read node key {self:?}"))
+    }
+}
+
 /// An XML-to-relational mapping scheme.
 ///
 /// A scheme owns a naming convention for its tables inside a shared
@@ -53,8 +96,17 @@ pub trait MappingScheme {
     /// Shred one document under `doc_id`. `install` must have run.
     fn shred(&self, db: &mut Database, doc_id: i64, doc: &Document) -> Result<ShredStats>;
 
+    /// Read the records of the subtree rooted at `key`, every read of its
+    /// rows under `limits`. The scheme's one record-fetch path: whole
+    /// documents and published query results both come through here.
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree>;
+
     /// Rebuild the full document.
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document>;
+    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
+        let Subtree { root, recs } =
+            self.subtree(db, &NodeKey::Root { doc: doc_id }, &db.limits)?;
+        rebuild(recs, root)
+    }
 
     /// Remove a document's rows. Returns rows deleted.
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize>;

@@ -23,16 +23,16 @@
 //! paper's observation that the universal relation requires the label set
 //! up front — its key disadvantage next to edge/binary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use reldb::{row_int, row_text, Database, ExecResult, Value};
+use reldb::{row_int, row_text, Database, ExecLimits, ExecResult, Value};
 use xmlpar::Document;
 
 use crate::error::{Result, ShredError};
 use crate::labels::sanitize;
 use crate::pathsummary::PathSummary;
-use crate::reconstruct::rebuild;
-use crate::scheme::{tally, MappingScheme, ShredStats};
+use crate::reconstruct::Subtree;
+use crate::scheme::{tally, MappingScheme, NodeKey, ShredStats};
 use crate::walk::{flatten, NodeRec, RecKind};
 
 /// The universal scheme.
@@ -278,7 +278,12 @@ impl MappingScheme for UniversalScheme {
         Ok(stats)
     }
 
-    fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
+    fn subtree(&self, db: &Database, key: &NodeKey, limits: &ExecLimits) -> Result<Subtree> {
+        let (doc_id, root) = match *key {
+            NodeKey::Root { doc } => (doc, None),
+            NodeKey::Pre { doc, pre } => (doc, Some(pre)),
+            _ => return Err(key.mismatch(self.name())),
+        };
         let meta = self.label_columns(db)?;
         let schema = db.catalog.table("univ")?.schema.clone();
         let col = |name: &str| -> Result<usize> {
@@ -307,58 +312,71 @@ impl MappingScheme for UniversalScheme {
         let mut recs: Vec<NodeRec> = Vec::new();
         // Synthetic unique ids for attribute records (never referenced).
         let mut synth = -1i64;
-        db.query_streaming(&format!("SELECT * FROM univ WHERE doc = {doc_id}"), |row| {
-            let src = row_int(&row, src_col);
-            for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
-                if m.kind == "elem" {
-                    let t = row_int(&row, c1);
-                    let o = row_int(&row, c2);
-                    if let (Some(t), Some(o)) = (t, o) {
-                        recs.push(NodeRec {
-                            pre: t,
-                            parent: src,
-                            ordinal: o,
-                            size: 0,
-                            level: 0,
-                            kind: RecKind::Elem,
-                            name: Some(m.label.clone()),
-                            value: None,
-                        });
-                    }
-                } else {
-                    let a = row_text(&row, c1).map(str::to_string);
-                    let ao = row_int(&row, c2);
-                    if let (Some(a), Some(ao)) = (a, ao) {
-                        recs.push(NodeRec {
-                            pre: synth,
-                            parent: src,
-                            ordinal: ao,
-                            size: 0,
-                            level: 0,
-                            kind: RecKind::Attr,
-                            name: Some(m.label.clone()),
-                            value: Some(a),
-                        });
-                        synth -= 1;
+        db.query_streaming_limited(
+            &format!("SELECT * FROM univ WHERE doc = {doc_id}"),
+            limits,
+            |row| {
+                let src = row_int(&row, src_col);
+                for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
+                    if m.kind == "elem" {
+                        let t = row_int(&row, c1);
+                        let o = row_int(&row, c2);
+                        if let (Some(t), Some(o)) = (t, o) {
+                            recs.push(NodeRec {
+                                pre: t,
+                                parent: src,
+                                ordinal: o,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Elem,
+                                name: Some(m.label.clone()),
+                                value: None,
+                            });
+                        }
+                    } else {
+                        let a = row_text(&row, c1).map(str::to_string);
+                        let ao = row_int(&row, c2);
+                        if let (Some(a), Some(ao)) = (a, ao) {
+                            recs.push(NodeRec {
+                                pre: synth,
+                                parent: src,
+                                ordinal: ao,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Attr,
+                                name: Some(m.label.clone()),
+                                value: Some(a),
+                            });
+                            synth -= 1;
+                        }
                     }
                 }
-            }
-            if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
-                recs.push(NodeRec {
-                    pre: t,
-                    parent: src,
-                    ordinal: o,
-                    size: 0,
-                    level: 0,
-                    kind: RecKind::Text,
-                    name: None,
-                    value: row_text(&row, v_text).map(str::to_string),
-                });
-            }
-            Ok(())
-        })?;
-        // The virtual root row produced a root record with parent None.
-        rebuild(recs)
+                if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
+                    recs.push(NodeRec {
+                        pre: t,
+                        parent: src,
+                        ordinal: o,
+                        size: 0,
+                        level: 0,
+                        kind: RecKind::Text,
+                        name: None,
+                        value: row_text(&row, v_text).map(str::to_string),
+                    });
+                }
+                Ok(())
+            },
+        )?;
+        // The table has no per-subtree access path (a documented cost):
+        // a node's subtree is cut out of its whole document's records.
+        Ok(match root {
+            None => Subtree { root: 0, recs },
+            Some(pre) => Subtree {
+                root: pre,
+                recs: cut(recs, pre).ok_or_else(|| {
+                    ShredError::Corrupt(format!("no universal node ({doc_id},{pre})"))
+                })?,
+            },
+        })
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {
@@ -379,6 +397,31 @@ impl MappingScheme for UniversalScheme {
         }
         v
     }
+}
+
+/// The records of the subtree rooted at `root`, or `None` when no record
+/// is `root`.
+fn cut(recs: Vec<NodeRec>, root: i64) -> Option<Vec<NodeRec>> {
+    let mut by_parent: HashMap<i64, Vec<NodeRec>> = HashMap::new();
+    let mut out = Vec::new();
+    for r in recs {
+        if r.pre == root {
+            out.push(r);
+        } else if let Some(p) = r.parent {
+            by_parent.entry(p).or_default().push(r);
+        }
+    }
+    if out.is_empty() {
+        return None;
+    }
+    let mut i = 0;
+    while let Some(pre) = out.get(i).map(|r| r.pre) {
+        if let Some(kids) = by_parent.remove(&pre) {
+            out.extend(kids);
+        }
+        i += 1;
+    }
+    Some(out)
 }
 
 #[cfg(test)]
